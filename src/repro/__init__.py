@@ -11,7 +11,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 * :mod:`repro.stats`      — statistics and correlation discovery
 * :mod:`repro.cm`         — Correlation Maps
 * :mod:`repro.costmodel`  — correlation-aware and oblivious cost models
-* :mod:`repro.ilp`        — from-scratch MILP solver
+* :mod:`repro.ilp`        — MILP model builder and HiGHS solver facade
 * :mod:`repro.design`     — the designer pipeline and baselines
 * :mod:`repro.workloads`  — SSB and APB-1 generators
 * :mod:`repro.experiments`— the paper's tables and figures

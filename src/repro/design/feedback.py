@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 class FeedbackConfig:
     max_iterations: int = 3
     t_multiplier: int = 2
-    backend: str = "auto"
 
 
 @dataclass
@@ -116,22 +115,19 @@ def run_ilp_feedback(
     """Solve, feed back, re-solve (Section 6.1).
 
     ``warm_start`` (previous chosen candidate ids, from an incremental
-    update) seeds the first solve's branch-and-bound incumbent; once
-    warm-started, every re-solve after a feedback round is seeded from the
-    current best solution, and feedback rounds skip groups whose keys were
-    already designed in an earlier solve (the enumerator's designed-group
-    log).  With ``warm_start=None`` (the from-scratch path) all solves are
-    cold and no group is skipped — bit-identical to the original pipeline.
+    update) warm-starts the first solve; once warm-started, every re-solve
+    after a feedback round is seeded from the current best solution, and
+    feedback rounds skip groups whose keys were already designed in an
+    earlier solve (the enumerator's designed-group log).  With
+    ``warm_start=None`` (the from-scratch path) all solves are cold and no
+    group is skipped — bit-identical to the original pipeline.
     """
     config = config or FeedbackConfig()
     problem = DesignProblem(
         candidates, queries, base_seconds, budget_bytes,
         maintenance=maintenance,
     )
-    design = choose_candidates(
-        problem, backend=config.backend, warm_start=warm_start,
-        free_ids=free_ids,
-    )
+    design = choose_candidates(problem, warm_start=warm_start, free_ids=free_ids)
     history = [design.objective]
     total_added = 0
     iterations = 0
@@ -152,7 +148,6 @@ def run_ilp_feedback(
         total_added += len(added)
         new_design = choose_candidates(
             problem,
-            backend=config.backend,
             warm_start=design.chosen_ids if warm_start is not None else None,
             free_ids=added if warm_start is not None else None,
         )

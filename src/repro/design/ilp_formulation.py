@@ -224,8 +224,8 @@ def incumbent_from_chosen(
     any base runtime — are dropped), prefix-sum ``s`` variables get their
     implied counts, and every penalty ``x`` settles at its integral lower
     bound given the ``y``.  Feasibility under the *current* budget is not
-    checked here; the branch-and-bound seeder verifies it and ignores
-    infeasible incumbents.
+    checked here; the solver verifies it and ignores infeasible
+    incumbents.
     """
     chosen = {cid for cid in chosen_ids if f"y[{cid}]" in model.variables}
     values: dict[str, float] = {
@@ -253,18 +253,16 @@ def incumbent_from_chosen(
 
 def choose_candidates(
     problem: DesignProblem,
-    backend: str = "auto",
     warm_start: list[str] | None = None,
     free_ids: list[str] | None = None,
 ) -> ChosenDesign:
     """Build and solve the ILP; returns the chosen design.
 
     ``warm_start`` — candidate ids of a previous solution — seeds the
-    branch-and-bound incumbent, or (HiGHS backend) the fix-and-polish pass;
-    ``free_ids`` names the candidates a workload delta touched, whose choice
-    variables stay free during the polish.  The returned optimum is the same
-    either way; when the warm point ties the optimum, the tie breaks toward
-    it.
+    fix-and-polish pass; ``free_ids`` names the candidates a workload delta
+    touched, whose choice variables stay free during the polish.  The
+    returned optimum is the same either way; when the warm point ties the
+    optimum, the tie breaks toward it.
     """
     model = build_design_ilp(problem)
     if model.num_variables == 0:
@@ -289,7 +287,5 @@ def choose_candidates(
         if free_ids
         else None
     )
-    solution = solve(
-        model, backend=backend, warm_start=incumbent, free_vars=free_vars
-    )
+    solution = solve(model, warm_start=incumbent, free_vars=free_vars)
     return extract_design(problem, solution, model)

@@ -1,26 +1,18 @@
-"""MILP substrate: model builder and solvers.
+"""MILP substrate: model builder and solver facade.
 
 CORADD solves its candidate-selection problem with "a commercial LP solver"
-(Section 5.1).  This package provides the equivalent from scratch: a model
-builder (:mod:`repro.ilp.model`), a dense two-phase primal simplex for LP
-relaxations (:mod:`repro.ilp.simplex`), a best-first branch & bound for the
-integer variables (:mod:`repro.ilp.branch_and_bound`), and a facade
-(:mod:`repro.ilp.solver`) that can also delegate to scipy's HiGHS ``milp``
-for large instances (the two backends are cross-checked in the tests).
+(Section 5.1).  This package pairs a model builder (:mod:`repro.ilp.model`)
+with a facade over scipy's HiGHS ``milp`` (:mod:`repro.ilp.solver`) that
+adds fix-and-polish warm starts and soft deadlines.
 """
 
 from repro.ilp.model import MILPModel, Constraint, Variable
-from repro.ilp.simplex import SimplexResult, solve_simplex
-from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.solver import Solution, solve
 
 __all__ = [
     "MILPModel",
     "Constraint",
     "Variable",
-    "SimplexResult",
-    "solve_simplex",
-    "solve_branch_and_bound",
     "Solution",
     "solve",
 ]

@@ -1,13 +1,10 @@
-"""Solver facade: one call, several interchangeable backends.
+"""Solver facade: every design ILP is solved by HiGHS (scipy's ``milp``).
 
-Backends:
-
-* ``"bnb"``       — our branch & bound with HiGHS LP relaxations;
-* ``"bnb-simplex"`` — our branch & bound over our own simplex (fully
-  from-scratch path; small/medium instances);
-* ``"scipy"``     — scipy's HiGHS MILP directly;
-* ``"auto"``      — scipy for large instances, bnb otherwise (identical
-  optima; the tests assert agreement).
+On top of the plain solve it adds the two things the designer needs and
+HiGHS has no API for: *warm starts* (a fix-and-polish pass around a previous
+solution, certified by the LP bound, with ties broken toward the incumbent)
+and *soft deadlines* (a feasible degraded answer instead of a bare
+time-limit status).
 """
 
 from __future__ import annotations
@@ -17,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.engine import faults
-from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.model import MILPModel
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import annotate, span
@@ -65,8 +61,6 @@ def _solve_scipy(
         if arrays.A.shape[0]
         else ()
     )
-    from scipy.optimize import Bounds
-
     lb = arrays.lb.copy()
     ub = arrays.ub.copy()
     if bounds_override:
@@ -90,6 +84,8 @@ def _solve_scipy(
     )
     if res.status == 2:
         return Solution("infeasible", _INF, {})
+    if res.status == 3:
+        return Solution("unbounded", -_INF, {})
     if res.x is None:
         return Solution(
             "time_limit" if res.status == 1 else "failed", _INF, {}
@@ -121,6 +117,31 @@ def fix_and_polish(
             value = float(round(incumbent.get(name, 0.0)))
             override[name] = (value, value)
     return _solve_scipy(model, bounds_override=override)
+
+
+def _solve_settled(
+    model: MILPModel, time_limit_s: float | None = None
+) -> Solution:
+    """Cold HiGHS MILP solve with its continuous variables settled.
+
+    HiGHS judges optimality against a dual-feasibility tolerance (1e-7),
+    so a continuous variable whose objective coefficient is below it may be
+    left off its optimal bound — the design ILP's penalty variables for
+    near-tied runtimes do exactly that, overstating the objective by up to
+    that much.  Re-solving with every integer pinned to its value (one
+    :func:`fix_and_polish` LP; on the design ILP presolve reduces it to
+    variable bounds) puts them back, so the reported optimum is the exact
+    objective of the chosen integers.
+    """
+    solution = _solve_scipy(model, time_limit_s=time_limit_s)
+    if solution.status != "optimal" or model.num_integer_variables in (
+        0, model.num_variables,
+    ):
+        return solution
+    settled = fix_and_polish(model, solution.values)
+    if settled.status == "optimal" and settled.objective <= solution.objective:
+        return settled
+    return solution
 
 
 def _degraded_solution(
@@ -156,6 +177,11 @@ def _degraded_solution(
     return Solution("deadline-failed", _INF, {}, backend="degraded")
 
 
+def _gap_tol(objective: float) -> float:
+    """Objective tolerance under which two points count as tied."""
+    return 1e-9 * (1.0 + abs(objective))
+
+
 def _solve_scipy_warm(
     model: MILPModel,
     warm_start: dict[str, float],
@@ -168,66 +194,70 @@ def _solve_scipy_warm(
     lower bound L.  When the gap closes (U <= L + tol) the polished point is
     *provably optimal* and the full MILP is skipped entirely — the common
     case for incremental re-solves, where the previous optimum plus a small
-    polish already is the answer.  Otherwise the full (cold) solve runs; the
-    returned optimum is therefore identical to a cold solve either way.
+    polish already is the answer.  Otherwise the full (cold) solve runs, and
+    the polished point is still returned when it ties the cold optimum
+    (within the same tolerance): a tied optimum breaks toward the
+    incumbent, so an unchanged problem keeps its previous answer.  The
+    returned objective is that of a cold solve either way.
     """
     if not model.is_feasible(warm_start):
         annotate(warm_outcome="infeasible-start")
-        return _solve_scipy(model, time_limit_s=time_limit_s)
+        return _solve_settled(model, time_limit_s)
     polished = fix_and_polish(model, warm_start, free_vars)
     if polished.status != "optimal":
         annotate(warm_outcome="polish-failed")
-        return _solve_scipy(model, time_limit_s=time_limit_s)
+        return _solve_settled(model, time_limit_s)
+    polished.backend = "scipy-polish"
     relaxed = _solve_scipy(model, relax_integrality=True)
     if relaxed.status == "optimal":
         annotate(incumbent=polished.objective, lp_bound=relaxed.objective)
-        gap_tol = 1e-9 * (1.0 + abs(relaxed.objective))
-        if polished.objective <= relaxed.objective + gap_tol:
+        if polished.objective <= relaxed.objective + _gap_tol(relaxed.objective):
             annotate(warm_outcome="polish-certified")
             obs_metrics.count("ilp.polish_certified")
-            polished.backend = "scipy-polish"
             return polished
+    full = _solve_settled(model, time_limit_s)
+    if (
+        full.status == "optimal"
+        and polished.objective <= full.objective + _gap_tol(full.objective)
+    ):
+        annotate(warm_outcome="cold-tie-incumbent")
+        return polished
     annotate(warm_outcome="cold-fallback")
-    full = _solve_scipy(model, time_limit_s=time_limit_s)
     return full
 
 
 def solve(
     model: MILPModel,
-    backend: str = "auto",
     time_limit_s: float | None = None,
     warm_start: dict[str, float] | None = None,
     free_vars: set[str] | None = None,
     deadline_s: float | None = None,
 ) -> Solution:
-    """Solve ``model`` (minimization) with the chosen backend.
+    """Solve ``model`` (minimization) with HiGHS.
 
-    ``warm_start`` is a feasible point (variable name -> value).  The
-    branch-and-bound backends seed their incumbent from it; the scipy/HiGHS
-    backend — which has no incumbent API — runs a *fix-and-polish* pass
-    around it instead (integer variables outside ``free_vars`` pinned, the
-    rest polished) and accepts the polished point outright when the LP
-    relaxation certifies it optimal, falling back to a cold solve otherwise.
-    The returned optimum is unchanged either way.
+    ``warm_start`` is a feasible point (variable name -> value).  HiGHS has
+    no incumbent API, so a *fix-and-polish* pass runs around it instead
+    (integer variables outside ``free_vars`` pinned, the rest polished); the
+    polished point is accepted outright when the LP relaxation certifies it
+    optimal, and otherwise a cold solve runs.  The returned optimum is
+    unchanged either way, and when the warm point ties it the warm point is
+    returned (see :func:`_solve_scipy_warm`).  An infeasible warm start is
+    ignored.
 
-    ``deadline_s`` makes the call *soft real-time*: the backend gets at most
-    that long, and instead of surfacing a bare time-limit status the facade
+    ``deadline_s`` makes the call *soft real-time*: HiGHS gets at most that
+    long, and instead of surfacing a bare time-limit status the facade
     degrades — best incumbent found in time, else the warm start, else an
     LP-rounding repair (see :func:`_degraded_solution`) — returning status
     ``"deadline"`` so a continuous-tuning caller can keep serving with a
     good-enough design rather than block on optimality.  ``time_limit_s``
-    alone keeps the raw backend semantics (bnb returns ``"time_limit"``).
+    alone keeps HiGHS's own semantics (status ``"time_limit"``).
     """
     start = time.monotonic()
-    if backend == "auto":
-        large = model.num_variables > 400 or model.num_constraints > 400
-        backend = "scipy" if large else "bnb"
     limit = time_limit_s
     if deadline_s is not None:
         limit = deadline_s if limit is None else min(limit, deadline_s)
     with span(
         "ilp.solve",
-        backend=backend,
         variables=model.num_variables,
         constraints=model.num_constraints,
         warm=warm_start is not None,
@@ -235,49 +265,28 @@ def solve(
         spec = faults.fire("ilp.solve")
         forced_timeout = spec is not None and spec.kind == "timeout"
         if forced_timeout and deadline_s is not None:
-            # Injected solver timeout: the backend "ran out of time"
-            # without burning any — straight to the degraded path.
+            # Injected solver timeout: HiGHS "ran out of time" without
+            # burning any — straight to the degraded path.
             solution = _degraded_solution(model, warm_start)
-        elif backend == "scipy":
-            solution = (
-                _solve_scipy_warm(model, warm_start, free_vars, limit)
-                if warm_start is not None
-                else _solve_scipy(model, time_limit_s=limit)
-            )
-        elif backend in ("bnb", "bnb-simplex"):
-            relaxation = "simplex" if backend == "bnb-simplex" else "highs"
-            res = solve_branch_and_bound(
-                model,
-                relaxation=relaxation,
-                time_limit_s=limit,
-                incumbent=warm_start,
-            )
-            annotate(nodes=res.nodes_explored)
-            obs_metrics.count("ilp.bnb_nodes", res.nodes_explored)
-            arrays_names = list(model.variables)
-            values = (
-                {name: float(v) for name, v in zip(arrays_names, res.x)}
-                if len(res.x)
-                else {}
-            )
-            solution = Solution(res.status, res.objective, values)
+        elif warm_start is not None:
+            solution = _solve_scipy_warm(model, warm_start, free_vars, limit)
         else:
-            raise ValueError(f"unknown backend {backend!r}")
+            solution = _solve_settled(model, limit)
         if (
             deadline_s is not None
             and solution.status not in ("optimal", "infeasible")
         ):
             if solution.status == "time_limit" and solution.values:
-                # The backend beat the deadline to *some* incumbent: take it.
+                # HiGHS beat the deadline to *some* incumbent: take it.
                 obs_metrics.count("ilp.deadline_degraded")
                 annotate(deadline_outcome="backend-incumbent")
                 solution.status = "deadline"
-                solution.backend = solution.backend or f"{backend}-incumbent"
+                solution.backend = "scipy-incumbent"
             elif solution.status not in ("deadline", "deadline-failed"):
                 solution = _degraded_solution(model, warm_start)
         solution.solve_seconds = time.monotonic() - start
         if not solution.backend:
-            solution.backend = backend
+            solution.backend = "scipy"
         annotate(status=solution.status, objective=solution.objective)
         obs_metrics.count("ilp.solves")
         obs_metrics.count(f"ilp.solves.{solution.backend}")

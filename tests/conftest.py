@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.design.ilp_formulation import DesignProblem, choose_candidates
+from repro.design.mv import KIND_FACT_RECLUSTER, CandidateSet
 from repro.relational.query import Aggregate, EqPredicate, Query, RangePredicate
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
@@ -107,3 +109,22 @@ def salary_query() -> Query:
 def ssb_small():
     """A small SSB instance shared by integration tests."""
     return generate_ssb(lineorder_rows=20_000, seed=1)
+
+
+def recluster_design(designer):
+    """A design whose only chosen object is a fact re-clustering from
+    ``designer``'s enumerated pool, solved by the ILP over that candidate
+    alone with a budget that exactly fits it.  Which budget of a sweep
+    picks a re-clustering depends on the data and on solver tie-breaks;
+    this always yields one."""
+    pool = designer.enumerate()
+    recluster = pool.of_kind(KIND_FACT_RECLUSTER)[0]
+    only = CandidateSet()
+    only.add(recluster)
+    problem = DesignProblem(
+        only, list(designer.workload), designer.base_seconds(),
+        recluster.size_bytes,
+    )
+    solution = choose_candidates(problem)
+    assert solution.chosen_ids == [recluster.cand_id]
+    return designer._assemble(recluster.size_bytes, solution)

@@ -11,6 +11,7 @@ from repro.experiments.harness import (
     evaluate_design_model_guided,
     verify_answers,
 )
+from tests.conftest import recluster_design
 
 
 @pytest.fixture(scope="module")
@@ -116,18 +117,17 @@ class TestMaterialization:
         )
         assert evaluated.real_total > 0
 
-    def test_recluster_adds_pk_index(self, designer, ssb_small, budget):
-        # Find any design that re-clusters the fact; the PK secondary index
-        # must be attached for uniqueness maintenance.
-        for frac in (0.15, 0.3, 0.5):
-            d = designer.design(int(budget * frac))
-            recluster = [c for c in d.chosen if c.kind == KIND_FACT_RECLUSTER]
-            if recluster:
-                db = d.materialize()
-                fact_obj = db.object("lineorder")
-                assert ssb_small.primary_keys["lineorder"] in fact_obj.btree_keys
-                return
-        pytest.skip("no budget in the sweep chose a fact re-clustering")
+    def test_recluster_adds_pk_index(self, designer, ssb_small):
+        # A design that re-clusters the fact must attach the PK secondary
+        # index for uniqueness maintenance.
+        d = recluster_design(designer)
+        (recluster,) = d.chosen
+        assert recluster.kind == KIND_FACT_RECLUSTER
+        db = d.materialize()
+        fact_obj = db.object("lineorder")
+        assert fact_obj.heapfile.cluster_key == tuple(recluster.cluster_key)
+        assert ssb_small.primary_keys["lineorder"] in fact_obj.btree_keys
+        assert verify_answers(d)
 
 
 class TestFeedback:

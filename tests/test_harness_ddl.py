@@ -11,6 +11,7 @@ from repro.experiments.harness import (
     evaluate_design,
     evaluate_design_model_guided,
 )
+from tests.conftest import recluster_design
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +89,12 @@ class TestDDLExport:
             assert f"CREATE MATERIALIZED VIEW {cand.cand_id}" in ddl
             assert ", ".join(cand.cluster_key) in ddl
 
-    def test_recluster_statements(self, designer, ssb_small):
-        # Sweep budgets until a re-clustering is chosen.
-        for frac in (0.1, 0.2, 0.4):
-            d = designer.design(int(ssb_small.total_base_bytes() * frac))
-            if any(c.kind == KIND_FACT_RECLUSTER for c in d.chosen):
-                ddl = design_to_ddl(d, include_cms=False)
-                assert "CREATE CLUSTERED INDEX" in ddl
-                assert "PK maintenance" in ddl
-                return
-        pytest.skip("no budget chose a fact re-clustering")
+    def test_recluster_statements(self, designer):
+        d = recluster_design(designer)
+        assert [c.kind for c in d.chosen] == [KIND_FACT_RECLUSTER]
+        ddl = design_to_ddl(d, include_cms=False)
+        assert "CREATE CLUSTERED INDEX" in ddl
+        assert "PK maintenance" in ddl
 
     def test_cm_comments_present(self, design):
         ddl = design_to_ddl(design, include_cms=True)

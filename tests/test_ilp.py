@@ -1,4 +1,4 @@
-"""MILP substrate: model building, simplex, branch & bound, backends."""
+"""MILP substrate: model building and the HiGHS solver facade."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from repro.ilp.branch_and_bound import solve_branch_and_bound
 from repro.ilp.model import MILPModel
-from repro.ilp.simplex import solve_simplex
-from repro.ilp.solver import solve
+from repro.ilp.solver import _solve_scipy, solve
 
 
 class TestModelBuilding:
@@ -79,10 +77,13 @@ def lp_model(c, A_ub, b_ub, bounds) -> MILPModel:
 
 
 class TestSimplex:
+    """Pure LPs (no integer variables) through the facade, which HiGHS
+    solves with its simplex."""
+
     def test_simple_lp(self):
         # max x + y s.t. x + y <= 1 -> min -(x+y), optimum -1.
         m = lp_model([-1, -1], [[1, 1]], [1], [(0, 10), (0, 10)])
-        res = solve_simplex(m.to_arrays())
+        res = solve(m)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-1.0)
 
@@ -91,7 +92,7 @@ class TestSimplex:
         m.add_var("x", obj=1.0, ub=10)
         m.add_var("y", obj=2.0, ub=10)
         m.add_constraint({"x": 1, "y": 1}, "==", 4)
-        res = solve_simplex(m.to_arrays())
+        res = solve(m)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(4.0)  # all weight on x
 
@@ -99,26 +100,25 @@ class TestSimplex:
         m = MILPModel()
         m.add_var("x", ub=1.0)
         m.add_constraint({"x": 1.0}, ">=", 5.0)
-        assert solve_simplex(m.to_arrays()).status == "infeasible"
+        assert solve(m).status == "infeasible"
 
     def test_unbounded(self):
         m = MILPModel()
         m.add_var("x", obj=-1.0)  # minimize -x with x unbounded above
         m.add_constraint({"x": -1.0}, "<=", 0.0)
-        assert solve_simplex(m.to_arrays()).status == "unbounded"
+        assert solve(m).status == "unbounded"
 
     def test_shifted_lower_bounds(self):
         m = MILPModel()
         m.add_var("x", lb=2.0, ub=8.0, obj=1.0)
-        res = solve_simplex(m.to_arrays())
+        res = solve(m)
         assert res.objective == pytest.approx(2.0)
-        assert res.x[0] == pytest.approx(2.0)
+        assert res.value("x") == pytest.approx(2.0)
 
     def test_infeasible_bounds(self):
         m = MILPModel()
         m.add_var("x", lb=0, ub=10)
-        arrays = m.to_arrays()
-        res = solve_simplex(arrays, extra_bounds={0: (5.0, 3.0)})
+        res = _solve_scipy(m, bounds_override={"x": (5.0, 3.0)})
         assert res.status == "infeasible"
 
 
@@ -129,7 +129,8 @@ class TestSimplex:
     data=st.data(),
 )
 def test_simplex_matches_scipy_on_random_lps(n, m_rows, data):
-    """Property: our simplex agrees with HiGHS on random bounded LPs."""
+    """Property: the facade (model arrays -> ``milp``) agrees with a direct
+    ``linprog`` call on random bounded LPs."""
     rng_vals = data.draw(
         st.lists(
             st.integers(-5, 5), min_size=n * m_rows + n + m_rows, max_size=n * m_rows + n + m_rows
@@ -139,7 +140,7 @@ def test_simplex_matches_scipy_on_random_lps(n, m_rows, data):
     c = np.array(rng_vals[n * m_rows : n * m_rows + n], dtype=float)
     b = np.abs(np.array(rng_vals[n * m_rows + n :], dtype=float)) + 1.0
     model = lp_model(c, A, b, [(0.0, 10.0)] * n)
-    ours = solve_simplex(model.to_arrays())
+    ours = solve(model)
     # Feed scipy only the non-zero rows, mirroring the model builder.
     keep = np.abs(A).sum(axis=1) > 0
     ref = linprog(
@@ -165,66 +166,58 @@ def knapsack_model(values, weights, capacity) -> MILPModel:
 
 
 class TestBranchAndBound:
+    """Integer programs, which HiGHS solves by branch and bound."""
+
     def test_knapsack_optimal(self):
-        m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
-        res = solve_branch_and_bound(m)
+        res = solve(knapsack_model([6, 5, 4], [3, 2, 2], 4))
         assert res.status == "optimal"
         assert res.objective == pytest.approx(-9.0)
+        assert res.backend == "scipy"
 
     def test_infeasible_integer_program(self):
         m = MILPModel()
         m.add_binary("y")
         m.add_constraint({"y": 2.0}, "==", 1.0)  # y = 0.5 required
-        assert solve_branch_and_bound(m).status == "infeasible"
-
-    def test_simplex_relaxation_backend(self):
-        m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
-        res = solve_branch_and_bound(m, relaxation="simplex")
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(-9.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    values=st.lists(st.integers(1, 20), min_size=2, max_size=7),
-    data=st.data(),
-)
-def test_bnb_matches_scipy_milp_on_random_knapsacks(values, data):
-    weights = data.draw(
-        st.lists(st.integers(1, 10), min_size=len(values), max_size=len(values))
-    )
-    capacity = data.draw(st.integers(1, sum(weights)))
-    model = knapsack_model(values, weights, capacity)
-    ours = solve(model, backend="bnb")
-    ref = solve(model, backend="scipy")
-    assert ours.status == ref.status == "optimal"
-    assert ours.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert solve(m).status == "infeasible"
 
 
 class TestSolverFacade:
-    def test_backends_agree(self):
-        m = knapsack_model([10, 7, 7, 3], [4, 3, 3, 1], 6)
-        results = {be: solve(m, backend=be).objective for be in ("scipy", "bnb", "bnb-simplex")}
-        assert len({round(v, 6) for v in results.values()}) == 1
-
     def test_chosen_helper(self):
         m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
-        sol = solve(m, backend="scipy")
+        sol = solve(m)
         assert sorted(sol.chosen("y")) == ["y1", "y2"]
 
     def test_objective_constant_included(self):
         m = knapsack_model([6, 5, 4], [3, 2, 2], 4)
         m.add_objective_constant(100.0)
-        for be in ("scipy", "bnb"):
-            assert solve(m, backend=be).objective == pytest.approx(91.0)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            solve(MILPModel(), backend="gurobi")
+        assert solve(m).objective == pytest.approx(91.0)
 
     def test_infeasible_reported(self):
         m = MILPModel()
         m.add_binary("y")
         m.add_constraint({"y": 1.0}, ">=", 2.0)
-        assert solve(m, backend="scipy").status == "infeasible"
-        assert solve(m, backend="bnb").status == "infeasible"
+        assert solve(m).status == "infeasible"
+
+
+class TestWarmStartTies:
+    def test_tied_incumbent_survives_cold_fallback(self):
+        """Two tied optima and a loose LP relaxation (bound -1.5 against
+        integer optimum -1): the polish cannot be certified, so the cold
+        MILP runs — and must still hand back the incumbent, not whichever
+        tied optimum HiGHS happens to find."""
+        m = knapsack_model([1, 1], [2, 2], 3)
+        cold = solve(m)
+        assert cold.objective == pytest.approx(-1.0)
+        for incumbent in ({"y0": 1.0, "y1": 0.0}, {"y0": 0.0, "y1": 1.0}):
+            warm = solve(m, warm_start=incumbent)
+            assert warm.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.values == incumbent
+            assert warm.backend == "scipy-polish"
+
+    def test_strictly_better_optimum_beats_incumbent(self):
+        m = knapsack_model([2, 1], [2, 2], 3)
+        warm = solve(m, warm_start={"y0": 0.0, "y1": 1.0})
+        assert warm.objective == pytest.approx(-2.0)
+        assert sorted(warm.chosen("y")) == ["y0"]
+        assert warm.backend == "scipy"

@@ -4,7 +4,8 @@ The contract under test is *incremental-vs-scratch equivalence*:
 
 * ``update()`` on an unchanged workload returns a bit-identical design
   (candidate ids, ILP objective, chosen set) to a from-scratch designer;
-* warm-started branch-and-bound solves match cold solves exactly;
+* warm-started solves match cold solves exactly, and a tied incumbent
+  wins the tie;
 * migrating a materialized database through ``DesignDiff`` yields a
   database bit-identical (plans, costs, object set) to materializing the
   new design from scratch;
@@ -25,6 +26,7 @@ from repro.design.ilp_formulation import (
 )
 from repro.design.migration import DesignDiff
 from repro.engine import EvalSession, use_session
+from repro.ilp.solver import solve
 from repro.relational.query import Workload, WorkloadDelta
 from repro.workloads.drift import WorkloadStream
 from repro.workloads.registry import make
@@ -112,24 +114,20 @@ class TestWarmStart:
     def test_warm_equals_cold_on_small_fixture(self, inst, budget):
         designer = _designer(inst)
         problem = designer.problem(budget)
-        cold = choose_candidates(problem, backend="bnb")
-        warm = choose_candidates(
-            problem, backend="bnb", warm_start=cold.chosen_ids
-        )
+        cold = choose_candidates(problem)
+        warm = choose_candidates(problem, warm_start=cold.chosen_ids)
         assert warm.chosen_ids == cold.chosen_ids
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert warm.assignment == cold.assignment
         # A bogus warm start must not change the optimum either.
-        bogus = choose_candidates(
-            problem, backend="bnb", warm_start=["no-such-candidate"]
-        )
+        bogus = choose_candidates(problem, warm_start=["no-such-candidate"])
         assert bogus.chosen_ids == cold.chosen_ids
         assert bogus.objective == pytest.approx(cold.objective, abs=1e-9)
 
     def test_incumbent_is_feasible_and_priced_right(self, inst, budget):
         designer = _designer(inst)
         problem = designer.problem(budget)
-        solution = choose_candidates(problem, backend="bnb")
+        solution = choose_candidates(problem)
         model = build_design_ilp(problem)
         incumbent = incumbent_from_chosen(problem, model, solution.chosen_ids)
         assert model.is_feasible(incumbent)
@@ -137,29 +135,23 @@ class TestWarmStart:
             solution.objective, rel=1e-9
         )
 
-    def test_incumbent_actually_reaches_branch_and_bound(self, inst, budget):
-        """Guards the warm-start plumbing end-to-end: an optimal incumbent
-        must prune the search, never enlarge it."""
-        from repro.ilp.branch_and_bound import solve_branch_and_bound
-
+    def test_tied_incumbent_is_returned_itself(self, inst, budget):
+        """Guards the warm-start plumbing end-to-end: an incumbent whose
+        objective ties the optimum wins the tie — the returned point is the
+        incumbent itself, through the polish pass."""
         designer = _designer(inst)
         problem = designer.problem(budget)
         model = build_design_ilp(problem)
-        cold = solve_branch_and_bound(model)
+        cold = solve(model)
         incumbent = incumbent_from_chosen(
-            problem,
-            model,
-            [n[2:-1] for n in model.variables if n.startswith("y[")
-             and cold.x[list(model.variables).index(n)] > 0.5],
+            problem, model, [n[2:-1] for n in cold.chosen("y[")]
         )
-        warm = solve_branch_and_bound(model, incumbent=incumbent)
+        warm = solve(model, warm_start=incumbent)
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
-        assert warm.nodes_explored <= cold.nodes_explored
-        # An incumbent whose objective ties the optimum wins the tie: the
-        # returned point is the incumbent itself.
-        assert model.evaluate(
-            {name: v for name, v in zip(model.variables, warm.x)}
-        ) == pytest.approx(model.evaluate(incumbent), abs=1e-9)
+        assert warm.backend == "scipy-polish"
+        assert warm.chosen("y[") == [
+            n for n, v in incumbent.items() if n.startswith("y[") and v > 0.5
+        ]
 
 
 class TestWorkloadDelta:
